@@ -1,6 +1,6 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every experiment (E1–E8, see DESIGN.md §4) gets one module. Benchmarks
+Every experiment (E1, E2, ...) gets one module. Benchmarks
 measure wall time through pytest-benchmark; the *shape* claims (who does
 less work) are additionally asserted on deterministic operation counts
 (atom lookups, instances evaluated, induced updates computed) so the

@@ -36,9 +36,6 @@ public for library use:
 >>> from repro import check_satisfiability
 >>> check_satisfiability("exists X: p(X). forall X: not p(X).").status
 'unsatisfiable'
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction record.
 """
 
 import os as _os

@@ -72,13 +72,11 @@ class DeductiveDatabase:
         self.constraints: List[Constraint] = list(constraints)
         self._constraint_counter = itertools.count(len(self.constraints) + 1)
         self._version = 0
-        self._engines: Dict[Tuple, QueryEngine] = {}
+        self._engines: Dict[EngineConfig, QueryEngine] = {}
         self._engine_version = -1
         # Library-level derived-result caches, one per cache-enabled
         # config. Without a transaction manager there are no DRed
-        # change sets to invalidate from, so _bump() clears coarsely;
-        # the service layer passes its own precisely-invalidated cache
-        # through engine(result_cache=...) instead.
+        # change sets to invalidate from, so _bump() clears coarsely.
         self._caches: Dict[Tuple, ResultCache] = {}
 
     # -- construction -----------------------------------------------------------------
@@ -207,7 +205,6 @@ class DeductiveDatabase:
         join_algo: Optional[str] = None,
         *,
         config: Optional[EngineConfig] = None,
-        result_cache: Optional[ResultCache] = None,
     ) -> QueryEngine:
         """A query engine over the current state, configured by an
         :class:`EngineConfig` (pass it as *config* or in the first
@@ -232,10 +229,9 @@ class DeductiveDatabase:
         :mod:`repro.datalog.wcoj`). ``config.supplementary`` (default
         on) makes the magic rewrite share rule prefixes through
         supplementary predicates. ``config.cache`` attaches a derived-
-        result cache; *result_cache* overrides it with a caller-owned
-        instance (the transaction manager's, invalidated precisely
-        from DRed change sets — without one, the database clears its
-        own caches coarsely on every mutation)."""
+        result cache, which the database clears on every mutation (the
+        service's cache is invalidated precisely instead; see
+        :meth:`MaintainedModel.engine`)."""
         resolved = resolve_config(
             config if config is not None else strategy,
             plan=plan,
@@ -246,10 +242,10 @@ class DeductiveDatabase:
         if self._engine_version != self._version:
             self._engines.clear()
             self._engine_version = self._version
-        key = (resolved, id(result_cache) if result_cache is not None else None)
-        engine = self._engines.get(key)
+        engine = self._engines.get(resolved)
         if engine is None:
-            if result_cache is None and resolved.cache:
+            result_cache: Optional[ResultCache] = None
+            if resolved.cache:
                 cache_key = resolved.key()
                 result_cache = self._caches.get(cache_key)
                 if result_cache is None:
@@ -261,7 +257,7 @@ class DeductiveDatabase:
                 config=resolved,
                 result_cache=result_cache,
             )
-            self._engines[key] = engine
+            self._engines[resolved] = engine
         return engine
 
     def holds(self, atom: Union[str, Atom]) -> bool:

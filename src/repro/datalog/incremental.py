@@ -38,6 +38,7 @@ from repro.datalog.joins import (
 )
 from repro.datalog.planner import make_planner
 from repro.datalog.program import Program, Rule
+from repro.datalog.query import QueryEngine
 from repro.logic.formulas import Atom, Literal
 from repro.logic.substitution import Substitution
 from repro.logic.unify import match
@@ -318,6 +319,19 @@ class MaintainedModel:
 
     def holds(self, atom: Atom) -> bool:
         return self.model.contains(atom)
+
+    def engine(self, result_cache=None):
+        """A query engine over the maintained model that derives nothing
+        and stays current across :meth:`apply` calls. It caches only
+        through *result_cache*, which the caller must invalidate from
+        :meth:`apply`'s change sets."""
+        return QueryEngine(
+            self.model,
+            self.program,
+            config=self.config.replace(cache=False),
+            result_cache=result_cache,
+            materialized=True,
+        )
 
     def snapshot(self) -> FactStore:
         return self.model.copy()

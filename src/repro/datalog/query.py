@@ -32,10 +32,16 @@ Three strategies are available:
     materialized. Patterns the rewrite declines (unbound queries, or
     demand propagation breaking stratification) fall back to the lazy
     per-closure path with a recorded diagnostic.
+
+An engine built with ``materialized=True`` (:meth:`MaintainedModel.engine`)
+reads a store that already holds the whole canonical model: every
+intensional predicate counts as materialized and the strategy is
+ignored, so it derives nothing.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.config import (  # noqa: F401  (STRATEGIES re-exported: old home)
@@ -72,8 +78,15 @@ from repro.logic.formulas import (
 from repro.logic.safety import constraint_predicates
 from repro.logic.substitution import Substitution
 from repro.logic.unify import match
+from repro.obs.metrics import default_registry
 from repro.obs.trace import current_trace
 from repro.storage.result_cache import ResultCache
+
+# Dependency-closure derivations (lazy/model engines, magic fallbacks).
+_MATERIALIZATIONS = default_registry().counter("query.materializations")
+_MATERIALIZE_SECONDS = default_registry().histogram(
+    "query.materialize_seconds"
+)
 
 
 class _CombinedView:
@@ -137,6 +150,7 @@ class QueryEngine:
         *,
         config: Optional[EngineConfig] = None,
         result_cache: Optional[ResultCache] = None,
+        materialized: bool = False,
     ):
         config = resolve_config(
             config if config is not None else strategy,
@@ -144,6 +158,9 @@ class QueryEngine:
             exec_mode=exec_mode,
             supplementary=supplementary,
         )
+        if materialized:
+            # *facts* is a whole canonical model: no strategy has work.
+            config = config.replace(strategy="lazy")
         self.config = config
         self.facts = facts
         self.program = program
@@ -167,15 +184,17 @@ class QueryEngine:
         else:
             self.result_cache = None
         self._cache_key = config.key()
-        self._derived = FactStore()
-        self._view = _CombinedView(facts, self._derived)
+        self._derived = FactStore()  # what this engine derives itself
+        self._view = facts if materialized else _CombinedView(facts, self._derived)
         # The planner consults the engine's own estimate(), which knows
         # about tabled answers (topdown) and unmaterialized intensional
         # predicates — the raw view would report those as empty.
         self._planner = make_planner(config.plan, self._view).with_cardinality(
             lambda index, atom: self.estimate(atom)
         )
-        self._materialized: Set[str] = set()
+        self._materialized: Set[str] = (
+            set(program.idb_predicates) if materialized else set()
+        )
         self._tabled: Optional[TabledEvaluator] = (
             TabledEvaluator(facts, program, config=config)
             if config.strategy == "topdown"
@@ -211,6 +230,8 @@ class QueryEngine:
                 self._materialize_closure(pred)
 
     def _materialize_closure(self, pred: str) -> None:
+        _MATERIALIZATIONS.inc()
+        start = time.perf_counter()
         closure = self.program.reachable_from(pred)
         pending = [
             p
@@ -234,6 +255,7 @@ class QueryEngine:
             # so its extents become usable statistics immediately.
             self._materialized.update(stratum_preds)
         self._materialized.update(pending)
+        _MATERIALIZE_SECONDS.observe(time.perf_counter() - start)
 
     # -- atom-level access -------------------------------------------------------------
 
@@ -267,8 +289,7 @@ class QueryEngine:
                 # Demand stores cover extensional facts via copy rules.
                 return self.magic.holds(atom)
             self._ensure_materialized(atom.pred)
-            if self._derived.contains(atom):
-                return True
+            return self._view.contains(atom)
         return self.facts.contains(atom)
 
     def match_atom(self, pattern: Atom) -> Iterator[Substitution]:
@@ -282,17 +303,10 @@ class QueryEngine:
                 yield from self.magic.answers(pattern)
                 return
             self._ensure_materialized(pattern.pred)
-            seen: Set[Atom] = set()
-            for fact in self.facts.match(pattern):
-                seen.add(fact)
+            for fact in self._view.match(pattern):
                 subst = match(pattern, fact)
                 if subst is not None:
                     yield subst
-            for fact in self._derived.match(pattern):
-                if fact not in seen:
-                    subst = match(pattern, fact)
-                    if subst is not None:
-                        yield subst
             return
         yield from self.facts.match_substitutions(pattern)
 

@@ -144,6 +144,10 @@ class IntegrityChecker:
     constraint mentions. Both knobs are validated up front so a typo
     fails with a one-line error, not a traceback from deep inside
     evaluation.
+
+    *old_engine*, when given, answers for the current state D (the old
+    side of ``delta``, rule-update seeds) instead of
+    ``database.engine(config)``; the service passes its maintained model's.
     """
 
     def __init__(
@@ -155,6 +159,7 @@ class IntegrityChecker:
         supplementary=None,
         *,
         config=None,
+        old_engine=None,
     ):
         from repro.config import resolve_config
 
@@ -166,6 +171,7 @@ class IntegrityChecker:
         )
         self.database = database
         self.config = config
+        self.old_engine = old_engine
         # Loose-knob attributes kept for backward compatibility;
         # `config` is the source of truth.
         self.strategy = config.strategy
@@ -178,6 +184,10 @@ class IntegrityChecker:
         # Fact-independent structures, shared across checks.
         self.dependency_index = DependencyIndex(database.program)
         self.relevance = RelevanceIndex(database.constraints)
+
+    def _old_state(self):
+        """The query engine over the current state D."""
+        return self.old_engine or self.database.engine(config=self.config)
 
     # -- the paper's method ------------------------------------------------------------
 
@@ -234,6 +244,7 @@ class IntegrityChecker:
             index=self.dependency_index,
             restrict_to=closure,
             config=self.config,
+            old_engine=self.old_engine,
         )
         fresh_engine = (
             None
@@ -355,6 +366,7 @@ class IntegrityChecker:
             index=self.dependency_index,
             restrict_to=None,  # the whole point: no goal direction
             config=self.config,
+            old_engine=self.old_engine,
         )
         engine = delta.new_engine
         violations: List[Violation] = []
@@ -484,6 +496,7 @@ class IntegrityChecker:
             config=self.config,
             new_database=new_db,
             seeds=seeds,
+            old_engine=self.old_engine,
         )
         return self._evaluate_update_constraints(
             compiled, delta, stats, "rule-addition"
@@ -527,7 +540,7 @@ class IntegrityChecker:
         new_engine = new_db.engine(config=self.config)
         candidates = self._rule_seeds(
             rule,
-            body_state=self.database.engine(config=self.config),
+            body_state=self._old_state(),
             inserted=False,
         )
         # Only heads no longer derivable anywhere actually change.
@@ -545,6 +558,7 @@ class IntegrityChecker:
             config=self.config,
             new_database=new_db,
             seeds=seeds,
+            old_engine=self.old_engine,
         )
         return self._evaluate_update_constraints(
             compiled, delta, stats, "rule-removal"
@@ -574,7 +588,7 @@ class IntegrityChecker:
         from repro.datalog.joins import join_body
         from repro.logic.substitution import Substitution
 
-        old_engine = self.database.engine(config=self.config)
+        old_engine = self._old_state()
 
         def matcher(index: int, pattern):
             return body_state.match_atom(pattern)

@@ -58,6 +58,7 @@ class DeltaEvaluator:
         seeds: Optional[Sequence[Literal]] = None,
         *,
         config=None,
+        old_engine=None,
     ):
         """By default the updated state is the fact overlay of
         *updates*. Rule updates (Section 3.2: "treated like conditional
@@ -65,6 +66,7 @@ class DeltaEvaluator:
         program) together with pre-verified *seeds* — the ground truth
         changes the rule change causes directly; propagation and the
         truth-change tests then run between the two states as usual.
+        *old_engine* answers for D (default: ``database.engine(config)``).
         """
         from repro.config import resolve_config
         from repro.integrity.transactions import Transaction
@@ -84,7 +86,9 @@ class DeltaEvaluator:
         )
         self.exec_mode = config.exec_mode
         self.join_algo = config.join_algo
-        self.old_engine = database.engine(config=config)
+        self.old_engine = old_engine or database.engine(config=config)
+        # A long-lived old engine has served lookups before this check.
+        self._old_lookups = self.old_engine.lookup_count
         if new_database is not None:
             self.new_view = new_database
         else:
@@ -236,4 +240,5 @@ class DeltaEvaluator:
 
     @property
     def lookup_count(self) -> int:
-        return self.old_engine.lookup_count + self.new_engine.lookup_count
+        old = self.old_engine.lookup_count - self._old_lookups
+        return old + self.new_engine.lookup_count

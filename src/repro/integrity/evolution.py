@@ -101,9 +101,12 @@ def assess_constraint_addition(
     id: Optional[str] = None,
     max_fresh_constants: int = 8,
     max_levels: int = 120,
+    engine=None,
 ) -> ConstraintAdditionResult:
     """Triage a candidate constraint against *database* (which is not
-    modified). See the module docstring for the decision procedure."""
+    modified). See the module docstring for the decision procedure.
+    *engine* evaluates the candidate over the current state (default:
+    ``database.engine()``)."""
     source = constraint if isinstance(constraint, str) else None
     formula = (
         parse_formula(constraint) if isinstance(constraint, str) else constraint
@@ -133,7 +136,7 @@ def assess_constraint_addition(
                 INCOMPATIBLE, candidate, [], None, diagnostics=diagnostics
             )
 
-    engine = database.engine()
+    engine = engine or database.engine()
     if engine.evaluate(normalized):
         return ConstraintAdditionResult(
             ACCEPTED, candidate, [], None, diagnostics=diagnostics

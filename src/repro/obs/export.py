@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -178,6 +179,20 @@ class _HttpServer(ThreadingHTTPServer):
     exporter: "MetricsExporter"
 
 
+def stop_serving(server) -> None:
+    """Stop *server*'s running ``serve_forever`` loop without waiting out
+    its 0.5 s poll: ``shutdown()`` only raises a flag that the loop reads
+    when its ``select()`` returns, so throwaway connections wake it."""
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    while stopper.is_alive():
+        try:
+            socket.create_connection(server.server_address[:2], 1).close()
+        except OSError:
+            pass
+        stopper.join(0.05)
+
+
 class MetricsExporter:
     """The observability sidecar: scrape endpoints + window sampler."""
 
@@ -230,7 +245,7 @@ class MetricsExporter:
 
     def close(self) -> None:
         self._stop.set()
-        self._http.shutdown()
+        stop_serving(self._http)
         self._http.server_close()
         for thread in self._threads:
             thread.join(timeout=5)

@@ -63,10 +63,10 @@ class ManagedDatabase:
             database = DeductiveDatabase.from_source(
                 source or "", config=config
             )
-            self._require_consistent(database)
             model = MaintainedModel(
                 database.facts, database.program, config=config
             )
+            self._require_consistent(database, model)
             version = 0
             storage = None
             if self.directory is not None:
@@ -93,10 +93,16 @@ class ManagedDatabase:
         )
 
     @staticmethod
-    def _require_consistent(database: DeductiveDatabase) -> None:
+    def _require_consistent(
+        database: DeductiveDatabase, model: MaintainedModel
+    ) -> None:
         """The gate's precondition (every proposition assumes D ⊨ IC):
-        refuse to create a database that starts out violating."""
-        violated = database.violated_constraints()
+        refuse to create a database that starts out violating. Checked
+        on the freshly computed model, so nothing is derived twice."""
+        engine = model.engine()
+        violated = [
+            c for c in database.constraints if not engine.evaluate(c.formula)
+        ]
         if violated:
             names = ", ".join(c.id for c in violated)
             raise ValueError(

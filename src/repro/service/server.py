@@ -58,7 +58,7 @@ from repro import serialize
 from repro.config import EngineConfig, default_metrics_port, resolve_config
 from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_atom, parse_formula
-from repro.obs.export import MetricsExporter
+from repro.obs.export import MetricsExporter, stop_serving
 from repro.obs.metrics import default_registry
 from repro.obs.spans import TraceContext
 from repro.obs.trace import current_trace, trace_query
@@ -201,7 +201,7 @@ class DatabaseServer:
         if self._served:
             # shutdown() blocks on the serve loop's exit handshake and
             # would hang forever if serve_forever never started.
-            self._tcp.shutdown()
+            stop_serving(self._tcp)
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -360,13 +360,6 @@ class TransactionManager:
             supplementary=supplementary,
         )
         self.database = database
-        self.model = (
-            model
-            if model is not None
-            else MaintainedModel(
-                database.facts, database.program, config=config
-            )
-        )
         self.storage = storage
         self.version = version
         self.method = method
@@ -392,7 +385,13 @@ class TransactionManager:
         self.commit_delay = commit_delay
         # Open-session count: the linger heuristic's "siblings" signal.
         self._active_sessions = 0
-        self.checker = IntegrityChecker(database, config=config)
+        self._install_model(
+            model
+            if model is not None
+            else MaintainedModel(
+                database.facts, database.program, config=config
+            )
+        )
         # _state_lock guards the committed state (database, model,
         # commit log, version) against concurrent readers; the commit
         # mutex elects the group-commit leader.
@@ -424,6 +423,21 @@ class TransactionManager:
             name: registry.counter(name) for name in self.stats
         }
 
+    def _install_model(self, model: MaintainedModel) -> None:
+        """Adopt *model* as the one committed state: unstaged reads and
+        the gate's old side use engines over its store, which DRed
+        updates in place, so only a new model object needs new engines.
+        The gate's engine has no cache: its lookups never evict reads."""
+        self.model = model
+        self._read_engine = model.engine(result_cache=self.result_cache)
+        self._gate_engine = model.engine()
+        self._rebuild_checker()
+
+    def _rebuild_checker(self) -> None:
+        self.checker = IntegrityChecker(
+            self.database, config=self.config, old_engine=self._gate_engine
+        )
+
     def _bump(self, key: str, amount: int = 1) -> None:
         """Advance a commit statistic in both the per-manager dict and
         its process-wide registry mirror (called under _state_lock)."""
@@ -445,21 +459,15 @@ class TransactionManager:
 
     # -- reads --------------------------------------------------------------------
 
-    def _view(self, staged: Sequence[Literal]) -> DeductiveDatabase:
-        if not staged:
-            return self.database
-        return self.database.updated(list(staged))
-
     def _engine(self, staged: Sequence[Literal]):
         """The engine for a read: staged overlay views get a private
         engine (never the shared cache — their answers depend on
-        uncommitted writes); unstaged reads share the manager's
-        precisely-invalidated result cache."""
+        uncommitted writes); unstaged reads are answered from the
+        maintained model, through the manager's precisely-invalidated
+        result cache when caching is on."""
         if staged:
-            return self._view(staged).engine(config=self.config)
-        return self.database.engine(
-            config=self.config, result_cache=self.result_cache
-        )
+            return self.database.updated(list(staged)).engine(config=self.config)
+        return self._read_engine
 
     def evaluate(self, formula: Formula, staged: Sequence[Literal] = ()) -> bool:
         # maybe_trace is a no-op unless config.slow_query_ms is set or
@@ -840,12 +848,13 @@ class TransactionManager:
         # any cached derived results are all program-dependent: rebuild
         # the first two, flush the third wholesale (unlike fact
         # commits, a rule change has no exact DRed change set here).
-        self.model = MaintainedModel(
-            self.database.facts, self.database.program, config=self.config
-        )
         if self.result_cache is not None:
             self.result_cache.clear()
-        self.checker = IntegrityChecker(self.database, config=self.config)
+        self._install_model(
+            MaintainedModel(
+                self.database.facts, self.database.program, config=self.config
+            )
+        )
         self.version = lsn
         self._bump("txn.ddl_committed")
         request.finish(
@@ -892,6 +901,7 @@ class TransactionManager:
             id=constraint_id,
             max_fresh_constants=request.budget,
             max_levels=request.max_levels,
+            engine=self._gate_engine,
         )
         if triage.status != ACCEPTED:
             self._bump("txn.ddl_rejected")
@@ -915,7 +925,7 @@ class TransactionManager:
         # The relevance/dependency indexes are constraint-dependent.
         # The result cache stays warm: DDL changes which formulas are
         # *checked*, not the truth of any cached query.
-        self.checker = IntegrityChecker(self.database, config=self.config)
+        self._rebuild_checker()
         self.version = lsn
         self._bump("txn.ddl_committed")
         request.finish(

@@ -119,6 +119,8 @@ class TestDefaultRegistry:
             "cache.misses",
             "magic.rewrites",
             "magic.derivations",
+            "query.materializations",
+            "query.materialize_seconds",
             "wal.appends",
             "wal.fsyncs",
             "txn.session_seconds",
